@@ -34,21 +34,16 @@ main(int argc, char **argv)
     TraceIo tio = parseTraceDirs(argc, argv);
     ModeSet modes = parseModes(argc, argv);
 
-    // Interpreted columns by mode; C is always the slowdown baseline.
+    // Interpreted columns by mode, in mode-table order; C is always
+    // the slowdown baseline.
     std::vector<Lang> interp_langs;
-    switch (modes) {
-      case ModeSet::Baseline:
-        interp_langs = {Lang::Mipsi, Lang::Java, Lang::Perl, Lang::Tcl};
-        break;
-      case ModeSet::Remedies:
-        interp_langs = {Lang::MipsiThreaded, Lang::JavaQuick,
-                        Lang::TclBytecode};
-        break;
-      case ModeSet::All:
-        interp_langs = {Lang::Mipsi, Lang::Java, Lang::Perl, Lang::Tcl,
-                        Lang::MipsiThreaded, Lang::JavaQuick,
-                        Lang::TclBytecode};
-        break;
+    for (const ModeInfo &m : kModeTable) {
+        bool pick = modes == ModeSet::Baseline   ? m.rung == 0
+                    : modes == ModeSet::Remedies ? m.rung == 1
+                    : modes == ModeSet::All      ? m.rung <= 1
+                                                 : m.rung == 3;
+        if (pick && m.lang != Lang::C)
+            interp_langs.push_back(m.lang);
     }
     std::vector<Lang> all_langs = {Lang::C};
     all_langs.insert(all_langs.end(), interp_langs.begin(),

@@ -61,113 +61,104 @@ enum class Lang : uint8_t
     TclJit,        ///< tier-2 + per-command stencil region (tier 3)
 };
 
-// The Lang helpers are inline so header-only consumers (the workload
-// registry is below interp_harness in the link order) can use them
-// without pulling in the runner's symbols.
+// The mode and ladder tables are header-only so consumers below
+// interp_harness in the link order (the workload registry) can read
+// them without pulling in the runner's symbols.
+
+/** One row of the mode table. */
+struct ModeInfo
+{
+    Lang lang;
+    /** Byte-stable: names trace files, tier entries and STATS keys. */
+    const char *name;
+    Lang baseline; ///< the faithful mode this one is measured against
+    int rung;      ///< 0 baseline, 1 §5 remedy, 2 tier-2, 3 jit
+};
+
+/** Every execution mode, in enum order. */
+inline constexpr ModeInfo kModeTable[] = {
+    {Lang::C, "C", Lang::C, 0},
+    {Lang::Mipsi, "MIPSI", Lang::Mipsi, 0},
+    {Lang::Java, "Java", Lang::Java, 0},
+    {Lang::Perl, "Perl", Lang::Perl, 0},
+    {Lang::Tcl, "Tcl", Lang::Tcl, 0},
+    {Lang::MipsiThreaded, "MIPSI-threaded", Lang::Mipsi, 1},
+    {Lang::JavaQuick, "Java-quick", Lang::Java, 1},
+    {Lang::TclBytecode, "Tcl-bytecode", Lang::Tcl, 1},
+    {Lang::JavaTier2, "Java-tier2", Lang::Java, 2},
+    {Lang::TclTier2, "Tcl-tier2", Lang::Tcl, 2},
+    {Lang::PerlIC, "Perl-ic", Lang::Perl, 2},
+    {Lang::MipsiJit, "MIPSI-jit", Lang::Mipsi, 3},
+    {Lang::TclJit, "Tcl-jit", Lang::Tcl, 3},
+};
+
+inline constexpr int kNumModes =
+    (int)(sizeof kModeTable / sizeof kModeTable[0]);
+
+constexpr bool
+modeTableInEnumOrder()
+{
+    for (int i = 0; i < kNumModes; ++i)
+        if ((int)kModeTable[i].lang != i)
+            return false;
+    return true;
+}
+static_assert(modeTableInEnumOrder(), "kModeTable must follow Lang");
+
+/** The mode's table row, or null for a value outside the table. */
+constexpr const ModeInfo *
+modeInfo(Lang lang)
+{
+    return (int)lang < kNumModes ? &kModeTable[(int)lang] : nullptr;
+}
 
 inline const char *
 langName(Lang lang)
 {
-    switch (lang) {
-      case Lang::C: return "C";
-      case Lang::Mipsi: return "MIPSI";
-      case Lang::Java: return "Java";
-      case Lang::Perl: return "Perl";
-      case Lang::Tcl: return "Tcl";
-      case Lang::MipsiThreaded: return "MIPSI-threaded";
-      case Lang::JavaQuick: return "Java-quick";
-      case Lang::TclBytecode: return "Tcl-bytecode";
-      case Lang::JavaTier2: return "Java-tier2";
-      case Lang::TclTier2: return "Tcl-tier2";
-      case Lang::PerlIC: return "Perl-ic";
-      case Lang::MipsiJit: return "MIPSI-jit";
-      case Lang::TclJit: return "Tcl-jit";
-      default: return "?";
-    }
+    const ModeInfo *m = modeInfo(lang);
+    return m ? m->name : "?";
 }
 
-/** The baseline a remedy mode is measured against (identity for the
- *  five baseline modes). */
+/** The baseline a mode is measured against (identity for the five
+ *  baseline modes). */
 inline Lang
 baselineOf(Lang lang)
 {
-    switch (lang) {
-      case Lang::MipsiThreaded: return Lang::Mipsi;
-      case Lang::JavaQuick: return Lang::Java;
-      case Lang::TclBytecode: return Lang::Tcl;
-      case Lang::JavaTier2: return Lang::Java;
-      case Lang::TclTier2: return Lang::Tcl;
-      case Lang::PerlIC: return Lang::Perl;
-      case Lang::MipsiJit: return Lang::Mipsi;
-      case Lang::TclJit: return Lang::Tcl;
-      default: return lang;
-    }
+    const ModeInfo *m = modeInfo(lang);
+    return m ? m->baseline : lang;
 }
 
-/** True for every non-baseline mode (§5 remedies and tier-2). */
-inline bool
-isRemedy(Lang lang)
+/** The mode's own rung: 0 baseline, 1 remedy, 2 tier-2, 3 jit. */
+inline int
+rungOf(Lang lang)
 {
-    return baselineOf(lang) != lang;
-}
-
-/** True for the tier-2 modes (superinstructions / inline caches). */
-inline bool
-isTier2(Lang lang)
-{
-    return lang == Lang::JavaTier2 || lang == Lang::TclTier2 ||
-           lang == Lang::PerlIC;
-}
-
-/** True for the jit (tier-3 stencil) modes. */
-inline bool
-isJit(Lang lang)
-{
-    return lang == Lang::MipsiJit || lang == Lang::TclJit;
+    const ModeInfo *m = modeInfo(lang);
+    return m ? m->rung : 0;
 }
 
 /**
- * The runtime tier ladder for a baseline mode: the mode a warm
- * program is promoted to at the first (remedy), second (tier-2) and
- * third (jit) hotness thresholds. Identity for modes with no higher
- * tier.
+ * The runtime tier ladder: per baseline, the mode a warm program runs
+ * at on rungs 0 (itself) to 3. A rung a language lacks repeats the one
+ * below it: MIPSI has no tier 2, Perl's inline caches are all three
+ * of its rungs, and Java has no template backend.
  */
-inline Lang
-tierRemedyOf(Lang base)
-{
-    switch (base) {
-      case Lang::Mipsi: return Lang::MipsiThreaded;
-      case Lang::Java: return Lang::JavaQuick;
-      case Lang::Tcl: return Lang::TclBytecode;
-      case Lang::Perl: return Lang::PerlIC;
-      default: return base;
-    }
-}
+inline constexpr Lang kLadderTable[][4] = {
+    {Lang::Mipsi, Lang::MipsiThreaded, Lang::MipsiThreaded, Lang::MipsiJit},
+    {Lang::Java, Lang::JavaQuick, Lang::JavaTier2, Lang::JavaTier2},
+    {Lang::Perl, Lang::PerlIC, Lang::PerlIC, Lang::PerlIC},
+    {Lang::Tcl, Lang::TclBytecode, Lang::TclTier2, Lang::TclJit},
+};
 
+/** The mode @p base runs at on ladder rung @p rung (0-3); @p base
+ *  itself when it has no ladder (C, or a mode that is not a
+ *  baseline). */
 inline Lang
-tierTier2Of(Lang base)
+ladderMode(Lang base, int rung)
 {
-    switch (base) {
-      case Lang::Mipsi: return Lang::MipsiThreaded; // no higher tier
-      case Lang::Java: return Lang::JavaTier2;
-      case Lang::Tcl: return Lang::TclTier2;
-      case Lang::Perl: return Lang::PerlIC; // IC is Perl's top tier
-      default: return base;
-    }
-}
-
-inline Lang
-tierJitOf(Lang base)
-{
-    switch (base) {
-      // Java and Perl have no template backend: their ladders top out
-      // at tier 2 and the tier manager folds a tier-3 target down.
-      case Lang::Mipsi: return Lang::MipsiJit;
-      case Lang::Java: return Lang::JavaTier2;
-      case Lang::Tcl: return Lang::TclJit;
-      case Lang::Perl: return Lang::PerlIC;
-      default: return base;
-    }
+    for (const auto &ladder : kLadderTable)
+        if (ladder[0] == base)
+            return ladder[rung];
+    return base;
 }
 
 /** One benchmark to run. */

@@ -39,22 +39,6 @@ loadProgram(const std::string &relative_path)
 
 // --- execution-mode selection ------------------------------------------
 
-namespace {
-
-/** The remedy variant of @p lang, or @p lang if it has none. */
-Lang
-remedyOf(Lang lang)
-{
-    switch (lang) {
-      case Lang::Mipsi: return Lang::MipsiThreaded;
-      case Lang::Java: return Lang::JavaQuick;
-      case Lang::Tcl: return Lang::TclBytecode;
-      default: return lang;
-    }
-}
-
-} // namespace
-
 ModeSet
 parseModes(int argc, char **argv)
 {
@@ -86,13 +70,13 @@ withModes(std::vector<BenchSpec> suite, ModeSet mode)
         return suite;
     size_t base_rows = suite.size();
     std::vector<BenchSpec> out = std::move(suite);
+    // A rung folded down from a missing one (Perl's inline caches on
+    // rung 1, Java's tier 2 on rung 3) does not count as that rung.
+    int rung = mode == ModeSet::Jit ? 3 : 1;
     for (size_t i = 0; i < base_rows; ++i) {
-        Lang target = mode == ModeSet::Jit ? tierJitOf(out[i].lang)
-                                           : remedyOf(out[i].lang);
-        if (target == out[i].lang)
+        Lang target = ladderMode(out[i].lang, rung);
+        if (target == out[i].lang || rungOf(target) != rung)
             continue;
-        if (mode == ModeSet::Jit && !isJit(target))
-            continue; // no template backend for this language
         BenchSpec copy = out[i];
         copy.lang = target;
         out.push_back(std::move(copy));

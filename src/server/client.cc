@@ -588,9 +588,9 @@ langFromName(const std::string &name, harness::Lang &out)
         return s;
     };
     std::string want = lower(name);
-    for (int i = 0; i <= (int)harness::Lang::TclBytecode; ++i) {
-        if (want == lower(harness::langName((harness::Lang)i))) {
-            out = (harness::Lang)i;
+    for (const harness::ModeInfo &m : harness::kModeTable) {
+        if (want == lower(m.name)) {
+            out = m.lang;
             return true;
         }
     }

@@ -11,7 +11,7 @@ using tracefile::putU64;
 
 namespace {
 
-constexpr uint8_t kMaxLang = (uint8_t)harness::Lang::TclJit;
+constexpr uint8_t kMaxLang = (uint8_t)(harness::kNumModes - 1);
 constexpr uint8_t kKnownFlags =
     kFlagRecordTrace | kFlagWithMachine | kFlagNeedsInputs;
 

@@ -94,7 +94,7 @@ struct ModeCounters
 class ServerStats
 {
   public:
-    static constexpr int kModes = (int)harness::Lang::TclJit + 1;
+    static constexpr int kModes = harness::kNumModes;
 
     void noteAccepted(harness::Lang mode);
     void noteServed(harness::Lang mode);

@@ -45,6 +45,11 @@ std::string withCommas(unsigned long long value);
  */
 std::string sigThousands(double value);
 
+/** Backslash-escape `"` and `\` for a JSON string literal (the
+ *  names written to the BENCH_*.json files carry no control
+ *  characters). */
+std::string jsonEscape(std::string_view text);
+
 } // namespace interp
 
 #endif // INTERP_SUPPORT_STRUTIL_HH

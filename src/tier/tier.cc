@@ -28,13 +28,13 @@ TierManager::plan(Lang mode, const std::string &program)
 {
     TierPlan out;
     out.lang = mode;
-    if (!cfg.enabled || harness::isRemedy(mode))
+    if (!cfg.enabled || harness::rungOf(mode) != 0)
         return out;
-    Lang remedy = harness::tierRemedyOf(mode);
+    Lang remedy = harness::ladderMode(mode, 1);
     if (remedy == mode)
         return out; // no ladder for this mode (C)
-    Lang tier2 = harness::tierTier2Of(mode);
-    Lang jitL = harness::tierJitOf(mode);
+    Lang tier2 = harness::ladderMode(mode, 2);
+    Lang jitL = harness::ladderMode(mode, 3);
 
     std::lock_guard<std::mutex> lock(mu);
     Entry &e = entryFor(mode, program);
@@ -142,7 +142,7 @@ TierManager::noteRun(Lang mode, const std::string &program,
                      uint64_t commands,
                      const jvm::PairProfile *collected)
 {
-    if (!cfg.enabled || harness::isRemedy(mode))
+    if (!cfg.enabled || harness::rungOf(mode) != 0)
         return;
     std::lock_guard<std::mutex> lock(mu);
     Entry &e = entryFor(mode, program);

@@ -6,6 +6,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <string>
+#include <vector>
+
+#include "harness/ladder.hh"
 #include "harness/runner.hh"
 #include "harness/workloads.hh"
 
@@ -64,6 +69,38 @@ TEST(Runner, LangNames)
     EXPECT_STREQ(langName(Lang::Java), "Java");
     EXPECT_STREQ(langName(Lang::Perl), "Perl");
     EXPECT_STREQ(langName(Lang::Tcl), "Tcl");
+}
+
+TEST(Runner, ModeTableNamesEveryModeAndNothingElse)
+{
+    const char *names[] = {"C",          "MIPSI",     "Java",
+                           "Perl",       "Tcl",       "MIPSI-threaded",
+                           "Java-quick", "Tcl-bytecode", "Java-tier2",
+                           "Tcl-tier2",  "Perl-ic",   "MIPSI-jit",
+                           "Tcl-jit"};
+    ASSERT_EQ(kNumModes, 13);
+    for (int i = 0; i < kNumModes; ++i)
+        EXPECT_STREQ(langName((Lang)i), names[i]);
+    EXPECT_STREQ(langName((Lang)kNumModes), "?");
+    EXPECT_STREQ(langName((Lang)0xff), "?");
+    EXPECT_EQ(baselineOf((Lang)0xff), (Lang)0xff);
+}
+
+TEST(Runner, LadderTableFoldsMissingRungs)
+{
+    EXPECT_EQ(ladderMode(Lang::Mipsi, 2), Lang::MipsiThreaded);
+    EXPECT_EQ(ladderMode(Lang::Perl, 1), Lang::PerlIC);
+    EXPECT_EQ(ladderMode(Lang::Perl, 3), Lang::PerlIC);
+    EXPECT_EQ(ladderMode(Lang::Java, 3), Lang::JavaTier2);
+    EXPECT_EQ(ladderMode(Lang::C, 3), Lang::C);
+    EXPECT_EQ(ladderMode(Lang::TclTier2, 1), Lang::TclTier2);
+    // Every higher mode sits on its own baseline's ladder.
+    for (const ModeInfo &m : kModeTable) {
+        bool found = m.rung == 0;
+        for (int r = 1; r < 4; ++r)
+            found |= ladderMode(m.baseline, r) == m.lang;
+        EXPECT_TRUE(found) << m.name;
+    }
 }
 
 TEST(Runner, MacroSuiteShape)
@@ -203,6 +240,124 @@ TEST(Micro, ReadIsBarelySlowed)
     }
     EXPECT_GT(per_iter(Lang::Tcl) / c, per_iter(Lang::Java) / c)
         << "Tcl still pays the most for I/O (paper: 15 vs 4.6)";
+}
+
+// --- the tier ladder's golden contract ---------------------------------
+
+/** Counting-only run of @p name in @p mode (the contract compares
+ *  attribution, not simulated cycles). */
+Measurement
+runCounting(const std::string &name, Lang mode)
+{
+    for (BenchSpec spec : macroSuite())
+        if (spec.lang == baselineOf(mode) && spec.name == name) {
+            spec.lang = mode;
+            return run(spec, {}, nullptr, /*with_machine=*/false);
+        }
+    ADD_FAILURE() << "no macro benchmark " << name;
+    return {};
+}
+
+/** Charge @p count more instructions to @p m's profile. */
+void
+addInsts(Measurement &m, trace::Category cat, trace::CommandId command,
+         uint64_t count, bool mem_model = false, bool native = false)
+{
+    trace::Bundle b;
+    b.cat = cat;
+    b.command = command;
+    b.count = (uint32_t)count;
+    b.memModel = mem_model;
+    b.native = native;
+    m.profile.onBundle(b);
+}
+
+uint64_t
+fdPlusMm(const Measurement &m)
+{
+    return m.profile.fetchDecodeInsts() + m.profile.memModelInsts();
+}
+
+using Clauses = std::vector<std::string>;
+
+TEST(LadderContract, EveryMeasuredRungKeepsIt)
+{
+    // One program on every distinct rung of every ladder, including
+    // Tcl spin's tier 2 and jit, whose memory-model total sits a few
+    // dead IC guard probes above the baseline's.
+    for (Lang base : {Lang::Mipsi, Lang::Java, Lang::Perl, Lang::Tcl}) {
+        Measurement b = runCounting("spin", base);
+        for (int r = 1; r < 4; ++r) {
+            Lang mode = ladderMode(base, r);
+            if (mode == ladderMode(base, r - 1))
+                continue; // a folded rung
+            EXPECT_EQ(checkLadderContract(b, runCounting("spin", mode)),
+                      Clauses{})
+                << langName(mode);
+        }
+    }
+}
+
+TEST(LadderContract, EachDoctoredClauseIsNamed)
+{
+    Measurement base = runCounting("spin", Lang::Tcl);
+    Measurement rung1 = runCounting("spin", Lang::TclBytecode);
+    Measurement rung2 = runCounting("spin", Lang::TclTier2);
+    ASSERT_EQ(checkLadderContract(base, rung1), Clauses{});
+    ASSERT_EQ(checkLadderContract(base, rung2), Clauses{});
+    const auto &per = rung2.profile.perCommand();
+    trace::CommandId cmd = 0;
+    while (cmd < per.size() && per[cmd].retired == 0)
+        ++cmd;
+    ASSERT_LT(cmd, per.size());
+
+    Measurement m = rung2;
+    m.stdoutText += "!";
+    EXPECT_EQ(checkLadderContract(base, m), Clauses{"stdout"});
+
+    m = rung2;
+    ++m.commands;
+    EXPECT_EQ(checkLadderContract(base, m), Clauses{"commands"});
+
+    m = rung2;
+    m.commandNames.back() += "'";
+    EXPECT_EQ(checkLadderContract(base, m), Clauses{"command names"});
+
+    m = rung2;
+    m.profile.onCommand(cmd);
+    EXPECT_EQ(checkLadderContract(base, m), Clauses{"retired"});
+
+    // A native memory-model instruction keeps execute - memModel.
+    m = rung2;
+    addInsts(m, trace::Category::Execute, cmd, 1, true, true);
+    EXPECT_EQ(checkLadderContract(base, m), Clauses{"nativeLib"});
+
+    // Rung 1 must keep execute itself; rungs 2-3 only execute minus
+    // its memory-model slice.
+    m = rung1;
+    addInsts(m, trace::Category::Execute, cmd, 1);
+    EXPECT_EQ(checkLadderContract(base, m), Clauses{"execute"});
+    m = rung2;
+    addInsts(m, trace::Category::Execute, cmd, 1, true);
+    EXPECT_EQ(checkLadderContract(base, m), Clauses{});
+    addInsts(m, trace::Category::Execute, cmd, 1);
+    EXPECT_EQ(checkLadderContract(base, m), Clauses{"execute-memModel"});
+
+    // Totals, charged outside any command so no per-command clause
+    // moves.
+    m = rung2;
+    addInsts(m, trace::Category::FetchDecode, trace::kNoCommand,
+             base.profile.fetchDecodeInsts() -
+                 rung2.profile.fetchDecodeInsts() + 1);
+    Clauses broken = checkLadderContract(base, m);
+    EXPECT_NE(std::find(broken.begin(), broken.end(), "fetch/decode"),
+              broken.end());
+
+    m = rung2;
+    addInsts(m, trace::Category::Execute, trace::kNoCommand,
+             fdPlusMm(base) - fdPlusMm(rung2) + 1, true);
+    EXPECT_EQ(checkLadderContract(base, m),
+              Clauses{"fetch/decode+memModel"});
 }
 
 } // namespace

@@ -33,17 +33,6 @@ namespace {
 using namespace interp;
 using namespace interp::harness;
 
-Lang
-remedyOf(Lang lang)
-{
-    switch (lang) {
-      case Lang::Mipsi: return Lang::MipsiThreaded;
-      case Lang::Java: return Lang::JavaQuick;
-      case Lang::Tcl: return Lang::TclBytecode;
-      default: return lang;
-    }
-}
-
 BenchSpec
 macroSpec(Lang lang, const std::string &name)
 {
@@ -65,7 +54,7 @@ void
 expectGoldenPair(const BenchSpec &base_spec)
 {
     BenchSpec rem_spec = base_spec;
-    rem_spec.lang = remedyOf(base_spec.lang);
+    rem_spec.lang = ladderMode(base_spec.lang, 1);
     ASSERT_NE(rem_spec.lang, base_spec.lang) << "spec has no remedy";
 
     Measurement base = run(base_spec);
@@ -197,11 +186,11 @@ TEST(Remedies, BaselineOfAndIsRemedy)
     EXPECT_EQ(baselineOf(Lang::TclBytecode), Lang::Tcl);
     EXPECT_EQ(baselineOf(Lang::Perl), Lang::Perl);
     EXPECT_EQ(baselineOf(Lang::C), Lang::C);
-    EXPECT_TRUE(isRemedy(Lang::MipsiThreaded));
-    EXPECT_TRUE(isRemedy(Lang::JavaQuick));
-    EXPECT_TRUE(isRemedy(Lang::TclBytecode));
-    EXPECT_FALSE(isRemedy(Lang::Mipsi));
-    EXPECT_FALSE(isRemedy(Lang::C));
+    EXPECT_NE(rungOf(Lang::MipsiThreaded), 0);
+    EXPECT_NE(rungOf(Lang::JavaQuick), 0);
+    EXPECT_NE(rungOf(Lang::TclBytecode), 0);
+    EXPECT_EQ(rungOf(Lang::Mipsi), 0);
+    EXPECT_EQ(rungOf(Lang::C), 0);
 }
 
 TEST(Remedies, WithModesExpandsSuites)
@@ -215,7 +204,7 @@ TEST(Remedies, WithModesExpandsSuites)
     }
     std::vector<BenchSpec> rems = withModes(suite, ModeSet::Remedies);
     for (const BenchSpec &spec : rems)
-        EXPECT_TRUE(isRemedy(spec.lang)) << spec.name;
+        EXPECT_NE(rungOf(spec.lang), 0) << spec.name;
     std::vector<BenchSpec> all = withModes(suite, ModeSet::All);
     EXPECT_EQ(all.size(), suite.size() + rems.size());
 }

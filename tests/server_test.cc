@@ -21,6 +21,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cctype>
 #include <cstdio>
 #include <map>
 #include <memory>
@@ -193,6 +194,26 @@ TEST(Protocol, MalformationsAreRejected)
     // STATS decoder rejects an EVAL payload and vice versa.
     StatsRequest sback;
     EXPECT_FALSE(decodeStatsRequest(payload, sback));
+}
+
+TEST(Protocol, EveryModeNameRoundTripsCaseInsensitively)
+{
+    ASSERT_EQ(harness::kNumModes, 13);
+    for (const harness::ModeInfo &m : harness::kModeTable) {
+        std::string upper = m.name;
+        for (char &c : upper)
+            c = (char)std::toupper((unsigned char)c);
+        for (const std::string &name : {std::string(m.name), upper}) {
+            Lang back = Lang::C;
+            EXPECT_TRUE(langFromName(name, back)) << name;
+            EXPECT_EQ(back, m.lang) << name;
+        }
+    }
+    Lang back = Lang::C;
+    EXPECT_TRUE(langFromName("JVM-Quick", back));
+    EXPECT_EQ(back, Lang::JavaQuick);
+    EXPECT_FALSE(langFromName("Tcl-turbo", back));
+    EXPECT_FALSE(langFromName("", back));
 }
 
 TEST(Protocol, StatsRequestRoundTrip)

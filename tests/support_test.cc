@@ -87,6 +87,14 @@ TEST(StrUtil, SigThousands)
     EXPECT_EQ(sigThousands(3'400), "3.4");
 }
 
+TEST(StrUtil, JsonEscape)
+{
+    EXPECT_EQ(jsonEscape("des"), "des");
+    EXPECT_EQ(jsonEscape("say \"hi\""), "say \\\"hi\\\"");
+    EXPECT_EQ(jsonEscape("a\\b"), "a\\\\b");
+    EXPECT_EQ(jsonEscape(""), "");
+}
+
 TEST(Rng, DeterministicForSameSeed)
 {
     Rng a(123), b(123);

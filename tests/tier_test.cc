@@ -72,7 +72,7 @@ expectTier2Golden(const BenchSpec &base_spec, bool expect_mem_reduction,
                   uint64_t *tier_mem = nullptr)
 {
     BenchSpec t2_spec = base_spec;
-    t2_spec.lang = tierTier2Of(base_spec.lang);
+    t2_spec.lang = ladderMode(base_spec.lang, 2);
     ASSERT_NE(t2_spec.lang, base_spec.lang) << "spec has no tier-2";
 
     Measurement base = runCounting(base_spec);
