@@ -4,23 +4,28 @@
  * faithful baseline against the mode harness::kLadderTable gives for
  * rungs 1 (§5 remedy), 2 (tier 2) and 3 (jit), the modes interpd's
  * tier-up promotes hot programs to. Each distinct mode runs once; a
- * folded rung repeats the row of the mode it folds onto. Every rung
- * is held to harness::checkLadderContract: a broken clause is named
- * on its row and makes the driver exit nonzero. Jit rows add the
- * stencil region's footprint (Segment::JitCode, which the §4 machine
- * simulates like any interpreter routine).
+ * folded rung repeats the row of the mode it folds onto, and a
+ * program whose language has no ladder (C, Perl) shows its baseline
+ * alone. Every rung is held to harness::checkLadderContract: a broken
+ * clause is named on its row and makes the driver exit nonzero. Jit
+ * rows add the stencil region's footprint (Segment::JitCode, which
+ * the §4 machine simulates like any interpreter routine). Every row
+ * also shows the host milliseconds of the baseline's run and of the
+ * rung's: a rung that cuts simulated instructions but not host time
+ * is a candidate for deletion.
  *
  * `--json [file]` (default BENCH_remedies.json) writes one
- * whole-ladder row per program (schema in EXPERIMENTS.md). `--jobs`,
+ * whole-ladder row per program (schema in EXPERIMENTS.md); host
+ * times stay out of it so the file is deterministic. `--jobs`,
  * `--record`/`--replay` and `--programs=<glob[,glob...]>` behave as
  * in the other drivers; output is byte-identical at any job count.
  */
 
+#include <chrono>
 #include <cstdio>
 #include <cstring>
 #include <memory>
 #include <string>
-#include <unordered_set>
 #include <vector>
 
 #include "harness/ladder.hh"
@@ -36,7 +41,9 @@ using namespace interp::harness;
 namespace {
 
 /** Instructions and distinct 32-byte lines fetched from the emitted
- *  stencil region (Segment::JitCode) — the Fig 3-revisited numbers. */
+ *  stencil region (Segment::JitCode) — the Fig 3-revisited numbers.
+ *  Lines are marked in a bitmap rather than a hash set so the sink
+ *  adds little to the jit rows' host time. */
 class JitRegionSink : public trace::Sink
 {
   public:
@@ -46,14 +53,18 @@ class JitRegionSink : public trace::Sink
         if (b.pc < lo_ || b.pc >= hi_)
             return;
         insts_ += b.count;
-        uint32_t first = b.pc >> 5;
-        uint32_t last = (b.pc + 4 * b.count - 1) >> 5;
-        for (uint32_t line = first; line <= last; ++line)
-            lines_.insert(line);
+        uint32_t first = (b.pc - lo_) >> 5;
+        uint32_t last = (b.pc - lo_ + 4 * b.count - 1) >> 5;
+        for (uint32_t line = first; line <= last; ++line) {
+            uint64_t bit = 1ull << (line & 63);
+            uint64_t &word = seen_[line >> 6];
+            lines_ += !(word & bit);
+            word |= bit;
+        }
     }
 
     uint64_t insts() const { return insts_; }
-    size_t lines() const { return lines_.size(); }
+    size_t lines() const { return lines_; }
 
   private:
     static constexpr uint32_t kSegSpan = 0x04000000;
@@ -61,7 +72,10 @@ class JitRegionSink : public trace::Sink
         trace::CodeRegistry::segmentBase(trace::Segment::JitCode);
     uint32_t hi_ = lo_ + kSegSpan;
     uint64_t insts_ = 0;
-    std::unordered_set<uint32_t> lines_;
+    size_t lines_ = 0;
+    /** One bit per line of the segment, plus slack for a bundle that
+     *  runs past its end. */
+    std::vector<uint64_t> seen_ = std::vector<uint64_t>((kSegSpan >> 11) + 2);
 };
 
 /** One program's ladder: the suite index of the run behind each
@@ -158,6 +172,12 @@ parseJsonPath(int argc, char **argv)
 int
 main(int argc, char **argv)
 {
+    // The JSON names the command that wrote it, before the option
+    // parsers consume their arguments.
+    std::string command = argv[0];
+    command = command.substr(command.find_last_of('/') + 1);
+    for (int i = 1; i < argc; ++i)
+        command += std::string(" ") + argv[i];
     int jobs = parseJobs(argc, argv);
     TraceIo tio = parseTraceDirs(argc, argv);
     std::string json_path = parseJsonPath(argc, argv);
@@ -168,8 +188,6 @@ main(int argc, char **argv)
     for (BenchSpec &spec : workloads::filterPrograms(
              macroSuite(), workloads::parseProgramsArg(argc, argv))) {
         Lang base = spec.lang;
-        if (ladderMode(base, 1) == base)
-            continue; // no ladder (C)
         Ladder ladder{};
         for (int r = 0; r < 4; ++r) {
             Lang mode = ladderMode(base, r);
@@ -187,6 +205,7 @@ main(int argc, char **argv)
     // The jit runs carry a region sink so the emitted segment's
     // footprint rides the same pass as the Table 3 machine.
     std::vector<std::unique_ptr<JitRegionSink>> regions(specs.size());
+    std::vector<double> hostMs(specs.size(), 0.0);
     std::vector<Measurement> results = runSuiteWith(
         specs, jobs, [&](const BenchSpec &spec, size_t i) {
             std::vector<trace::Sink *> sinks;
@@ -194,22 +213,29 @@ main(int argc, char **argv)
                 regions[i] = std::make_unique<JitRegionSink>();
                 sinks.push_back(regions[i].get());
             }
-            return runOrReplay(spec, tio, sinks);
+            auto t0 = std::chrono::steady_clock::now();
+            Measurement m = runOrReplay(spec, tio, sinks);
+            hostMs[i] = std::chrono::duration<double, std::milli>(
+                            std::chrono::steady_clock::now() - t0)
+                            .count();
+            return m;
         });
 
     std::printf("The tier ladder: each rung against its faithful "
                 "baseline on the real interpreters\n\n");
     std::printf("%-14s %-10s %4s %9s | %7s %7s | %7s %7s | %9s %7s | "
-                "%9s %5s %5s\n",
+                "%9s %5s %5s | %8s %8s\n",
                 "Mode", "Benchmark", "Rung", "VirtCmds", "fd-base",
                 "fd-rung", "mm-base", "mm-rung", "(pre x1k)", "i/cmd-%",
-                "jit-insts", "lines", "im%");
+                "jit-insts", "lines", "im%", "ms-base", "ms-rung");
     std::printf("---------------------------------------------------------"
                 "-------------------------------------------------------"
-                "\n");
+                "--------------------\n");
 
-    std::string json = "{\n  \"schema\": \"interp-ladder-v1\",\n"
-                       "  \"programs\": [\n";
+    std::string json = format("{\n  \"schema\": \"interp-ladder-v1\",\n"
+                              "  \"command\": \"%s\",\n"
+                              "  \"programs\": [\n",
+                              jsonEscape(command).c_str());
     bool first_program = true;
     int bad = 0;
     int beats[4] = {0, 0, 0, 0};   // rung r undercuts rung r-1
@@ -234,22 +260,28 @@ main(int argc, char **argv)
         }
 
         std::string modes = "      " + modeJson(base, nullptr, nullptr, {});
-        for (int r = 1; r < 4; ++r) {
+        // A program without a ladder prints its baseline as rung 0.
+        bool has_ladder = ladder.at[1] != ladder.at[0];
+        for (int r = has_ladder ? 1 : 0; r < (has_ladder ? 4 : 1); ++r) {
             const Measurement &m = results[ladder.at[r]];
             const JitRegionSink *region = regions[ladder.at[r]].get();
-            std::vector<std::string> broken = checkLadderContract(base, m);
-            if (!broken.empty())
-                ++bad;
-            if (ladder.at[r] != ladder.at[r - 1]) {
-                ++distinct[r];
-                if (fdPlusMm(m) < fdPlusMm(results[ladder.at[r - 1]]))
-                    ++beats[r];
-                modes += ",\n      " + modeJson(m, &base, region, broken);
+            std::vector<std::string> broken;
+            if (r > 0) {
+                broken = checkLadderContract(base, m);
+                if (!broken.empty())
+                    ++bad;
+                if (ladder.at[r] != ladder.at[r - 1]) {
+                    ++distinct[r];
+                    if (fdPlusMm(m) < fdPlusMm(results[ladder.at[r - 1]]))
+                        ++beats[r];
+                    modes +=
+                        ",\n      " + modeJson(m, &base, region, broken);
+                }
             }
 
             std::printf(
                 "%-14s %-10s %4d %9s | %7.1f %7.1f | %7.2f %7.2f | "
-                "%9.1f %6.1f%% | %9s %5s %5.2f%s%s%s\n",
+                "%9.1f %6.1f%% | %9s %5s %5.2f | %8.1f %8.1f%s%s%s\n",
                 langName(m.lang), m.name.c_str(), r,
                 sigThousands((double)m.commands).c_str(),
                 base.profile.fetchDecodePerCommand(),
@@ -260,7 +292,7 @@ main(int argc, char **argv)
                 instsPerCmdReductionPct(base, m),
                 region ? std::to_string(region->insts()).c_str() : "-",
                 region ? std::to_string(region->lines()).c_str() : "-",
-                m.imissPer100,
+                m.imissPer100, hostMs[ladder.at[0]], hostMs[ladder.at[r]],
                 broken.empty() ? "" : "  [BROKEN: ",
                 join(broken, ", ").c_str(), broken.empty() ? "" : "]");
         }
@@ -284,7 +316,9 @@ main(int argc, char **argv)
         "memory-model\ninstructions, (pre) the one-shot translation "
         "charged to Precompile, jit-insts\nand lines the stencil "
         "region's retired instructions and distinct 32-byte\ni-cache "
-        "lines, im%% the simulated i-miss rate per 100 instructions.\n\n");
+        "lines, im%% the simulated i-miss rate per 100 instructions, "
+        "ms the host\nmilliseconds of the baseline's run and the rung's "
+        "(wall time, machine model\nincluded; noisy at --jobs > 1).\n\n");
     for (int r = 2; r < 4; ++r)
         std::printf("rung %d undercuts rung %d on fetch/decode+memModel "
                     "in %d/%d programs\n",

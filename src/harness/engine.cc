@@ -285,12 +285,12 @@ class JvmEngine final : public Engine
     std::unique_ptr<jvm::Vm> vm;
 };
 
-/** Lang::Perl / PerlIC. */
+/** Lang::Perl. */
 class PerlEngine final : public Engine
 {
   public:
-    PerlEngine(trace::Execution &exec, vfs::FileSystem &fs, bool ic)
-        : exec(exec), fs(fs), ic(ic)
+    PerlEngine(trace::Execution &exec, vfs::FileSystem &fs)
+        : exec(exec), fs(fs)
     {
     }
 
@@ -298,8 +298,7 @@ class PerlEngine final : public Engine
     {
         EngineResult res;
         res.programBytes = spec.source.size();
-        vm = std::make_unique<perlish::Interp>(exec, fs,
-                                               /*symbolIc=*/ic);
+        vm = std::make_unique<perlish::Interp>(exec, fs);
         vm->load(spec.source, spec.name);
         auto r = vm->run(spec.maxCommands);
         res.finished = r.exited;
@@ -315,17 +314,16 @@ class PerlEngine final : public Engine
   private:
     trace::Execution &exec;
     vfs::FileSystem &fs;
-    bool ic;
     std::unique_ptr<perlish::Interp> vm;
 };
 
-/** Lang::Tcl / TclBytecode / TclTier2 / TclJit. */
+/** Lang::Tcl / TclBytecode / TclTier2. */
 class TclEngine final : public Engine
 {
   public:
     TclEngine(trace::Execution &exec, vfs::FileSystem &fs,
-              bool bytecode, bool tier2, bool jit)
-        : exec(exec), fs(fs), bytecode(bytecode), tier2(tier2), jit(jit)
+              bool bytecode, bool tier2)
+        : exec(exec), fs(fs), bytecode(bytecode), tier2(tier2)
     {
     }
 
@@ -334,7 +332,7 @@ class TclEngine final : public Engine
         EngineResult res;
         res.programBytes = spec.source.size();
         vm = std::make_unique<tclish::TclInterp>(exec, fs, bytecode,
-                                                 tier2, jit);
+                                                 tier2);
         auto r = vm->run(spec.source, spec.maxCommands);
         res.finished = r.exited;
         res.commands = r.commands;
@@ -349,7 +347,7 @@ class TclEngine final : public Engine
   private:
     trace::Execution &exec;
     vfs::FileSystem &fs;
-    bool bytecode, tier2, jit;
+    bool bytecode, tier2;
     std::unique_ptr<tclish::TclInterp> vm;
 };
 
@@ -374,19 +372,13 @@ makeEngine(Lang lang, trace::Execution &exec, vfs::FileSystem &fs)
       case Lang::JavaTier2:
         return std::make_unique<JvmEngine>(exec, fs, 2);
       case Lang::Perl:
-        return std::make_unique<PerlEngine>(exec, fs, false);
-      case Lang::PerlIC:
-        return std::make_unique<PerlEngine>(exec, fs, true);
+        return std::make_unique<PerlEngine>(exec, fs);
       case Lang::Tcl:
-        return std::make_unique<TclEngine>(exec, fs, false, false,
-                                           false);
+        return std::make_unique<TclEngine>(exec, fs, false, false);
       case Lang::TclBytecode:
-        return std::make_unique<TclEngine>(exec, fs, true, false,
-                                           false);
+        return std::make_unique<TclEngine>(exec, fs, true, false);
       case Lang::TclTier2:
-        return std::make_unique<TclEngine>(exec, fs, true, true, false);
-      case Lang::TclJit:
-        return std::make_unique<TclEngine>(exec, fs, true, true, true);
+        return std::make_unique<TclEngine>(exec, fs, true, true);
     }
     panic("makeEngine: unhandled lang %d", (int)lang);
 }

@@ -39,7 +39,7 @@ namespace interp::harness {
  * its baseline with identical per-command execute attribution; tier-2
  * modes additionally shrink the memory-model *subset* of execute
  * (execute minus memModel stays byte-identical), with one-time
- * tiering cost charged to Precompile. The jit modes are the tier-3
+ * tiering cost charged to Precompile. The jit mode is the tier-3
  * endpoint: per-opcode stencils concatenated into an executable
  * buffer (src/jit/), with the emitted region registered as synthetic
  * code so §4 simulation still attributes its i-cache behaviour.
@@ -56,9 +56,7 @@ enum class Lang : uint8_t
     TclBytecode,   ///< tclish with Tcl 8.0-style compiled scripts (§5)
     JavaTier2,     ///< quickened + superinstructions + field ICs
     TclTier2,      ///< bytecode + command-pair fusion + symbol ICs
-    PerlIC,        ///< baseline op tree + hash-lookup inline caches
     MipsiJit,      ///< threaded + per-opcode stencil region (tier 3)
-    TclJit,        ///< tier-2 + per-command stencil region (tier 3)
 };
 
 // The mode and ladder tables are header-only so consumers below
@@ -87,9 +85,7 @@ inline constexpr ModeInfo kModeTable[] = {
     {Lang::TclBytecode, "Tcl-bytecode", Lang::Tcl, 1},
     {Lang::JavaTier2, "Java-tier2", Lang::Java, 2},
     {Lang::TclTier2, "Tcl-tier2", Lang::Tcl, 2},
-    {Lang::PerlIC, "Perl-ic", Lang::Perl, 2},
     {Lang::MipsiJit, "MIPSI-jit", Lang::Mipsi, 3},
-    {Lang::TclJit, "Tcl-jit", Lang::Tcl, 3},
 };
 
 inline constexpr int kNumModes =
@@ -139,18 +135,17 @@ rungOf(Lang lang)
 /**
  * The runtime tier ladder: per baseline, the mode a warm program runs
  * at on rungs 0 (itself) to 3. A rung a language lacks repeats the one
- * below it: MIPSI has no tier 2, Perl's inline caches are all three
- * of its rungs, and Java has no template backend.
+ * below it: MIPSI has no tier 2, and Java and Tcl have no template
+ * backend. C and Perl have no ladder and always run at rung 0.
  */
 inline constexpr Lang kLadderTable[][4] = {
     {Lang::Mipsi, Lang::MipsiThreaded, Lang::MipsiThreaded, Lang::MipsiJit},
     {Lang::Java, Lang::JavaQuick, Lang::JavaTier2, Lang::JavaTier2},
-    {Lang::Perl, Lang::PerlIC, Lang::PerlIC, Lang::PerlIC},
-    {Lang::Tcl, Lang::TclBytecode, Lang::TclTier2, Lang::TclJit},
+    {Lang::Tcl, Lang::TclBytecode, Lang::TclTier2, Lang::TclTier2},
 };
 
 /** The mode @p base runs at on ladder rung @p rung (0-3); @p base
- *  itself when it has no ladder (C, or a mode that is not a
+ *  itself when it has no ladder (C, Perl, or a mode that is not a
  *  baseline). */
 inline Lang
 ladderMode(Lang base, int rung)

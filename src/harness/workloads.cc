@@ -70,8 +70,8 @@ withModes(std::vector<BenchSpec> suite, ModeSet mode)
         return suite;
     size_t base_rows = suite.size();
     std::vector<BenchSpec> out = std::move(suite);
-    // A rung folded down from a missing one (Perl's inline caches on
-    // rung 1, Java's tier 2 on rung 3) does not count as that rung.
+    // A rung folded down from a missing one (Java's and Tcl's tier 2
+    // on rung 3) does not count as that rung.
     int rung = mode == ModeSet::Jit ? 3 : 1;
     for (size_t i = 0; i < base_rows; ++i) {
         Lang target = ladderMode(out[i].lang, rung);

@@ -29,7 +29,7 @@ enum class ModeSet : uint8_t
     Baseline, ///< the five faithful modes only (the default)
     Remedies, ///< only the three §5 remedy modes
     All,      ///< baselines first, then the remedy modes
-    Jit,      ///< only the tier-3 jit modes (mipsi-jit, tcl-jit)
+    Jit,      ///< only the tier-3 jit mode (mipsi-jit)
 };
 
 /**

@@ -4,8 +4,8 @@
  *
  * The tier-3 template compiler is deliberately minimal (the "fast
  * in-place interpreter" / template-JIT shape): for a program of N
- * steps — guest instructions for MipsiJit, compiled commands for
- * TclJit — it concatenates N copies of one per-step native stencil
+ * steps — guest instructions for MipsiJit — it concatenates N
+ * copies of one per-step native stencil
  * into an ExecBuffer. Each stencil calls back into a C++ helper
  * (StepFn) that performs the step's real work *and* emits its full
  * synthetic trace, then either falls through to the next stencil

@@ -71,7 +71,6 @@ HashTable::erase(const std::string &key)
         if ((*link)->key == key) {
             *link = std::move((*link)->next);
             --count;
-            ++gen; // cached entries for this key are now stale
             return true;
         }
         link = &(*link)->next;
@@ -93,7 +92,6 @@ HashTable::keys() const
 void
 HashTable::grow()
 {
-    ++gen; // every node relocates; cached positions are stale
     std::vector<std::unique_ptr<Node>> old = std::move(buckets);
     buckets.clear();
     buckets.resize(old.size() * 2);

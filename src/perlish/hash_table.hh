@@ -62,14 +62,6 @@ class HashTable
     /** Host addresses touched by the last lookup, for d-cache realism. */
     const void *lastBucketAddr = nullptr;
 
-    /**
-     * Bumped whenever cached entry positions stop being trustworthy:
-     * a rehash (grow) relocates every node, an erase removes one.
-     * Inline caches guard on this — a deterministic value, never a
-     * raw host address — so cache decisions replay identically.
-     */
-    uint64_t generation() const { return gen; }
-
   private:
     struct Node
     {
@@ -82,7 +74,6 @@ class HashTable
 
     std::vector<std::unique_ptr<Node>> buckets;
     size_t count = 0;
-    uint64_t gen = 0;
 };
 
 } // namespace interp::perlish

@@ -14,9 +14,8 @@ using trace::MemModelScope;
 using trace::RoutineScope;
 using trace::SystemScope;
 
-Interp::Interp(trace::Execution &exec_, vfs::FileSystem &fs_,
-               bool symbolIc)
-    : exec(exec_), fs(fs_), icMode(symbolIc)
+Interp::Interp(trace::Execution &exec_, vfs::FileSystem &fs_)
+    : exec(exec_), fs(fs_)
 {
     auto &code = exec.code();
     rEval = code.registerRoutine("perl.eval", 700);
@@ -63,10 +62,6 @@ Interp::Interp(trace::Execution &exec_, vfs::FileSystem &fs_,
         rOp[i] = exec.code().registerRoutine(
             std::string("perl.op.") + opcName((Opc)i), size);
     }
-    // Last, and only in IC mode: the baseline synthetic code layout
-    // stays bit-for-bit what it was before the mode existed.
-    if (icMode)
-        rHashCache = exec.code().registerRoutine("perl.hashcache", 120);
 }
 
 void
@@ -186,53 +181,6 @@ Interp::chargeHashAccess(const std::string &key, int chain_steps,
     exec.alu(30);                             // entry bookkeeping
 }
 
-bool
-Interp::icHashHit(const OpNode &node, const std::string &key,
-                  const HashTable &table)
-{
-    if (!icMode)
-        return false;
-    HashIcEntry &entry = hashIc[&node];
-    bool hit = !entry.key.empty() && entry.key == key &&
-               entry.gen == table.generation();
-    if (hit) {
-        // Monomorphic hit: cached-key identity check plus a load
-        // through the cached entry — ~25 instructions instead of the
-        // full ~210-instruction translation.
-        MemModelScope mm(exec);
-        RoutineScope r(exec, rHashCache);
-        exec.noteMemModelAccess();
-        exec.alu(8);                     // site index, guard setup
-        exec.load(&entry);               // cache entry
-        exec.branch(false);              // generation guard holds
-        exec.load(key.data());           // cached-key identity check
-        exec.branch(false);
-        exec.load(table.lastBucketAddr); // direct entry load
-        exec.alu(12);                    // value handoff
-        ++entry.hits;
-        return true;
-    }
-    // Miss: the guard is memory-model execute work; the refill is
-    // translation work (Precompile). The caller then performs the
-    // full baseline hash translation — the contained fallback.
-    {
-        MemModelScope mm(exec);
-        RoutineScope r(exec, rHashCache);
-        exec.alu(8);
-        exec.load(&entry);
-        exec.branch(true); // guard fails
-    }
-    {
-        CategoryScope pre(exec, Category::Precompile);
-        RoutineScope r(exec, rHashCache);
-        exec.alu(10);
-        exec.store(&entry);
-    }
-    entry.key = key;
-    entry.gen = table.generation();
-    return false;
-}
-
 void
 Interp::chargeRegexSteps(uint64_t steps)
 {
@@ -348,9 +296,7 @@ Interp::lvalueSlot(const OpNode &node)
         chargeCoercion(key);
         int steps = 0;
         Scalar &slot = hashes[node.slot].lookup(key_str, steps);
-        if (!icHashHit(node, key_str, hashes[node.slot]))
-            chargeHashAccess(key_str, steps,
-                             hashes[node.slot].lastBucketAddr);
+        chargeHashAccess(key_str, steps, hashes[node.slot].lastBucketAddr);
         return &slot;
       }
       case Opc::CaptureVar:
@@ -505,9 +451,7 @@ Interp::eval(const OpNode &node)
         chargeCoercion(key);
         int steps = 0;
         Scalar *found = hashes[node.slot].find(key_str, steps);
-        if (!found || !icHashHit(node, key_str, hashes[node.slot]))
-            chargeHashAccess(key_str, steps,
-                             hashes[node.slot].lastBucketAddr);
+        chargeHashAccess(key_str, steps, hashes[node.slot].lastBucketAddr);
         return found ? *found : Scalar();
       }
       case Opc::ArrayVar: { // scalar context: element count

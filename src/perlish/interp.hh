@@ -39,18 +39,7 @@ namespace interp::perlish {
 class Interp
 {
   public:
-    /**
-     * @p symbolIc enables the Perl-ic execution mode: each HashElem
-     * site in the op tree carries a monomorphic inline cache of its
-     * last hash resolution (key + table generation). A hit replaces
-     * the ~210-instruction hash translation (§3.3) with a short
-     * guarded load; a miss falls back to the full baseline charge
-     * (guard counted as memory-model execute work, refill charged to
-     * Precompile). All other attribution is byte-identical to
-     * baseline; `delete`/`defined` sites always take the full path.
-     */
-    Interp(trace::Execution &exec, vfs::FileSystem &fs,
-           bool symbolIc = false);
+    Interp(trace::Execution &exec, vfs::FileSystem &fs);
 
     /** Compile @p source (precompile work is emitted). */
     void load(std::string_view source,
@@ -98,14 +87,6 @@ class Interp
     void chargeStringTouch(size_t chars);
     void chargeHashAccess(const std::string &key, int chain_steps,
                           const void *bucket_addr);
-    /**
-     * Inline-cache probe for a HashElem site. True: hit, fast-path
-     * charge emitted, caller skips chargeHashAccess. False: miss (or
-     * IC mode off) — guard/refill overhead emitted as applicable and
-     * the caller charges the full translation.
-     */
-    bool icHashHit(const OpNode &node, const std::string &key,
-                   const HashTable &table);
     void chargeRegexSteps(uint64_t steps);
     void chargeCoercion(const Scalar &value);
     void kernelWrite(int fd, const std::string &text);
@@ -148,21 +129,6 @@ class Interp
     trace::RoutineId rIo;
     trace::RoutineId rKernel;
     trace::RoutineId rMagic;
-
-    // Perl-ic mode state, declared last so every baseline member
-    // keeps the offsets (and emitted addresses) it had before the
-    // mode existed. The cache lives in a side table keyed by op-tree
-    // node — OpNode's own layout must not change, since the baseline
-    // emits node addresses.
-    struct HashIcEntry
-    {
-        std::string key;
-        uint64_t gen = 0;
-        uint64_t hits = 0;
-    };
-    bool icMode = false;
-    trace::RoutineId rHashCache = 0;
-    std::map<const OpNode *, HashIcEntry> hashIc;
 };
 
 } // namespace interp::perlish

@@ -50,7 +50,7 @@ namespace interp::server {
 // --- connection hello ------------------------------------------------------
 
 /** Wire protocol version; bumped on any incompatible change. */
-constexpr uint8_t kProtocolVersion = 1;
+constexpr uint8_t kProtocolVersion = 2;
 
 /** Bytes a connecting side must send before its first frame. */
 constexpr size_t kHelloBytes = 4;

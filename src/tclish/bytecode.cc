@@ -15,14 +15,11 @@
  */
 
 #include <algorithm>
-#include <exception>
 #include <map>
-#include <memory>
 #include <string>
 #include <utility>
 #include <vector>
 
-#include "jit/artifact.hh"
 #include "support/logging.hh"
 #include "tclish/interp.hh"
 
@@ -76,10 +73,6 @@ struct BytecodeState
         bool executed = false;
         uint64_t trips = 0; ///< tier-2: executions of this script
         bool fused = false; ///< tier-2: fusion pass already ran
-        // Tier-3 only: the script's stencil program and the base PC
-        // of its glue inside the Segment::JitCode region.
-        std::shared_ptr<const jit::JitArtifact> jit;
-        uint32_t jitBase = 0;
     };
 
     std::map<std::string, Script> scripts;
@@ -109,24 +102,6 @@ cmdKey(const BytecodeState::Cmd &cmd)
     return (!w.empty() && w[0] == '\x01') ? w.substr(1) : w;
 }
 
-/** Glue instructions charged per command stencil (region sizing). */
-constexpr uint32_t kJitGlueInsts = 2;
-
-/**
- * One evalCompiled invocation's native-stream context. Stack
- * allocated per (possibly nested) invocation: a stencil helper that
- * triggers a nested eval re-enters evalCompiled with its own ctx.
- */
-struct JitRunCtx
-{
-    TclInterp *self = nullptr;
-    BytecodeState::Script *cs = nullptr;
-    Result last;               ///< last Ok command result
-    Result out;                ///< early-exit result (returned set)
-    bool returned = false;
-    std::exception_ptr pending;
-};
-
 } // namespace
 
 void
@@ -139,8 +114,6 @@ TclInterp::initBytecode()
         rIcHit = code.registerRoutine("tcl.symcache", 140);
         rFuse = code.registerRoutine("tcl.fuse", 400);
     }
-    if (jitMode)
-        rJitEmit = code.registerRoutine("tcl.jit_emit", 120);
     bc = new BytecodeState;
 }
 
@@ -197,46 +170,6 @@ TclInterp::evalCompiled(const std::string &script)
             compiling = false;
         }
         cs = &bc->scripts.emplace(script, std::move(fresh)).first->second;
-    }
-
-    if (jitMode && !cs->jit) {
-        // One-shot template compilation, one stencil per compiled
-        // command. The glue executes at PCs inside a fresh
-        // Segment::JitCode region, so the emitted code has an i-cache
-        // footprint of its own (growing with the script, unlike the
-        // interpreter's fixed loop).
-        uint32_t glue = (uint32_t)cs->cmds.size() * kJitGlueInsts;
-        trace::RoutineId region = exec.code().registerRoutine(
-            "tcl.jitcode", glue ? glue : kJitGlueInsts,
-            trace::Segment::JitCode);
-        cs->jitBase = exec.code().routine(region).base;
-        CategoryScope pre(exec, Category::Precompile);
-        RoutineScope r(exec, rJitEmit);
-        exec.alu(6); // size the buffer, map it writable
-        cs->jit = jit::JitArtifact::build(&TclInterp::jitStepThunk,
-                                          (uint32_t)cs->cmds.size());
-        for (size_t i = 0; i < cs->cmds.size(); ++i) {
-            exec.alu(3);      // select + patch the stencil
-            exec.shortInt(1); // offset bookkeeping
-            exec.store(bc);   // record the stencil offset
-        }
-        exec.alu(2); // seal: the W^X flip to read+execute
-    }
-
-    if (jitMode) {
-        // Tier-3 trip: fall through the script's stencil stream. Each
-        // stencil calls back into jitCmdStep — substitution, inline
-        // caches and dispatch are the unchanged tier-2 paths, only the
-        // per-command fetch differs. A nested eval (proc body, loop
-        // body) re-enters here with its own context, so an exception
-        // stashed at depth N re-raises level by level.
-        JitRunCtx ctx;
-        ctx.self = this;
-        ctx.cs = cs;
-        cs->jit->enter(&ctx, 0);
-        if (ctx.pending)
-            std::rethrow_exception(ctx.pending);
-        return ctx.returned ? ctx.out : ctx.last;
     }
 
     if (tier2Mode) {
@@ -360,90 +293,6 @@ TclInterp::fusePairs(void *script_ptr)
     }
 }
 
-uint8_t
-TclInterp::jitStepThunk(void *ctx, uint32_t index) noexcept
-{
-    auto *c = (JitRunCtx *)ctx;
-    try {
-        return c->self->jitCmdStep(ctx, index);
-    } catch (...) {
-        // Native stencil frames have no unwind tables; stash and
-        // leave the stream normally — evalCompiled re-raises.
-        c->pending = std::current_exception();
-        return 1;
-    }
-}
-
-uint8_t
-TclInterp::jitCmdStep(void *ctx_ptr, uint32_t index)
-{
-    JitRunCtx &ctx = *(JitRunCtx *)ctx_ptr;
-    BytecodeState::Script &cs = *ctx.cs;
-    BytecodeState::Cmd &cc = cs.cmds[index];
-    cs.executed = true;
-
-    // The whole per-command fetch: the stencil's own glue, executing
-    // inside the emitted region (the words are baked into the
-    // stencil, so there is no compiled-word fetch at all).
-    {
-        CategoryScope fd(exec, Category::FetchDecode);
-        exec.emitAt(cs.jitBase + index * kJitGlueInsts * 4,
-                    trace::InstClass::IntAlu);
-    }
-    if (commandsRun >= commandBudget) {
-        ctx.out = {Status::Stop, ""};
-        ctx.returned = true;
-        return 1;
-    }
-    // Identical substitution pass to the tier-2 loop in evalCompiled:
-    // only the fetch of the words changed, not what is done with
-    // them, so execute attribution matches command for command.
-    Result failure;
-    failure.status = Status::Ok;
-    void *savedSlots = icSlots;
-    uint32_t savedRef = icRef;
-    icSlots = &cc.ic;
-    icRef = 0;
-    std::vector<std::string> substituted;
-    substituted.reserve(cc.words.size());
-    for (const std::string &word : cc.words) {
-        if (!word.empty() && word[0] == '\x01') {
-            substituted.push_back(word.substr(1));
-        } else {
-            substituted.push_back(substitute(word, failure));
-            if (failure.status != Status::Ok) {
-                icSlots = savedSlots;
-                icRef = savedRef;
-                ctx.out = failure;
-                ctx.returned = true;
-                return 1;
-            }
-        }
-    }
-    icSlots = nullptr; // handlers see no cursor
-    Result res = evalCommand(substituted, cc.line);
-    icSlots = savedSlots;
-    icRef = savedRef;
-
-    // The stencil's exit guard: falls through to the next command's
-    // stencil on Ok, leaves the region on a non-local status or at
-    // the end of the script.
-    bool leaving = res.status != Status::Ok ||
-                   (size_t)index + 1 >= cs.cmds.size();
-    {
-        CategoryScope fd(exec, Category::FetchDecode);
-        exec.emitAt(cs.jitBase + index * kJitGlueInsts * 4 + 4,
-                    trace::InstClass::CondBranch, 1, 0, leaving, 0);
-    }
-    if (res.status != Status::Ok) {
-        ctx.out = res;
-        ctx.returned = true;
-        return 1;
-    }
-    ctx.last = res;
-    return leaving ? 1 : 0;
-}
-
 bool
 TclInterp::icReadHit(const std::string &name, SymTab &table, bool found)
 {
@@ -470,24 +319,14 @@ TclInterp::icReadHit(const std::string &name, SymTab &table, bool found)
     if (slot.filled && slot.global && slot.name == name &&
         slot.epoch == symbolEpoch && found) {
         // Hit: short guarded load instead of the §3.3 translation.
-        // In tier-3 the slot address and guard constant are baked
-        // into the command's stencil, so the hit shrinks further: no
-        // cache-slot indexing, no cached-entry load.
         MemModelScope mm(exec);
         RoutineScope r(exec, rIcHit);
         exec.noteMemModelAccess();
-        if (jitMode) {
-            exec.alu(1);                     // inlined slot constant
-            exec.branch(false);              // epoch guard holds
-            exec.load(table.lastBucketAddr); // direct slot load
-            exec.alu(2);                     // value handoff
-        } else {
-            exec.alu(6);                     // cache-slot index
-            exec.load(bc);                   // cached entry
-            exec.branch(false);              // epoch/name guard holds
-            exec.load(table.lastBucketAddr); // direct slot load
-            exec.alu(8);                     // value handoff
-        }
+        exec.alu(6);                     // cache-slot index
+        exec.load(bc);                   // cached entry
+        exec.branch(false);              // epoch/name guard holds
+        exec.load(table.lastBucketAddr); // direct slot load
+        exec.alu(8);                     // value handoff
         ++slot.hits;
         slot.misses = 0;
         return true;

@@ -47,11 +47,10 @@ parseInt(const std::string &text, int64_t &out)
 } // namespace
 
 TclInterp::TclInterp(trace::Execution &exec_, vfs::FileSystem &fs_,
-                     bool bytecode, bool tier2, bool jit)
-    : exec(exec_), fs(fs_), bytecodeMode(bytecode || tier2 || jit),
-      tier2Mode(tier2 || jit)
+                     bool bytecode, bool tier2)
+    : exec(exec_), fs(fs_), bytecodeMode(bytecode || tier2),
+      tier2Mode(tier2)
 {
-    jitMode = jit;
     auto &code = exec.code();
     rParse = code.registerRoutine("tcl.parse", 1400);
     rSubst = code.registerRoutine("tcl.subst", 700);

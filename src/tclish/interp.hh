@@ -78,23 +78,9 @@ class TclInterp
      *    baseline path: the cache serves reads only.
      * Execute attribution outside the memory-model subset stays
      * byte-identical to baseline.
-     *
-     * @p jit (implies tier2) enables the Tcl-jit tier-3 mode: each
-     * compiled script is template-compiled into a jit::JitArtifact —
-     * one native stencil per compiled command, calling back into the
-     * unchanged substitution/dispatch path — so a trip through a hot
-     * script *falls through* the stencil stream instead of fetching
-     * compiled words. The stencil glue executes at its own PCs inside
-     * a Segment::JitCode region (Fig 3-style i-cache attribution of
-     * the emitted code), compilation is charged to Precompile, and
-     * the symbol-cache hit path shrinks to the stencil's inlined
-     * guard. Fusion is subsumed (the glue is already cheaper than a
-     * fused fetch); everything outside fetch/decode and the
-     * memory-model subset stays byte-identical to baseline.
      */
     TclInterp(trace::Execution &exec, vfs::FileSystem &fs,
-              bool bytecode = false, bool tier2 = false,
-              bool jit = false);
+              bool bytecode = false, bool tier2 = false);
 
     /** Out of line (bytecode.cc): BytecodeState is incomplete here. */
     ~TclInterp();
@@ -196,15 +182,6 @@ class TclInterp
      *  (bytecode.cc; opaque pointer: the script type is complete only
      *  there). */
     void fusePairs(void *script);
-    /**
-     * Tier-3 stencil helper (bytecode.cc): execute one compiled
-     * command of the context's script. The static thunk is the
-     * jit::StepFn target; it never lets an exception unwind into the
-     * native stencil frame (stashed in the context and re-raised by
-     * evalCompiled after the stream is left).
-     */
-    static uint8_t jitStepThunk(void *ctx, uint32_t index) noexcept;
-    uint8_t jitCmdStep(void *ctx, uint32_t index);
 
     // --- cost emission -----------------------------------------------------
     void chargeParse(size_t chars, size_t words);
@@ -272,12 +249,6 @@ class TclInterp
     uint32_t icRef = 0;       ///< next $-reference ordinal in command
     trace::RoutineId rIcHit = 0; ///< symbol-cache probe routine
     trace::RoutineId rFuse = 0;  ///< pair-fusion pass routine
-
-    // Tier-3 jit state, appended after tier-2's for the same layout
-    // reason. Per-script artifacts live in BytecodeState (the only
-    // place their types are complete).
-    bool jitMode = false;
-    trace::RoutineId rJitEmit = 0; ///< one-shot stencil compiler
 };
 
 } // namespace interp::tclish

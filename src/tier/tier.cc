@@ -56,9 +56,7 @@ TierManager::plan(Lang mode, const std::string &program)
         // guest text is catalog-shared, so one stencil stream serves
         // every invocation. Same aside-build protocol as the jvm
         // artifacts — exactly one request builds and publishes, the
-        // rest run the tier below until the store lands. (tcl-jit
-        // compiles per cached script inside the interpreter and needs
-        // no catalog slot.)
+        // rest run the tier below until the store lands.
         if (auto art = e.jitArtifact.load()) {
             out.jitArtifact = std::move(art);
         } else if (!e.buildingJit) {

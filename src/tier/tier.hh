@@ -8,12 +8,14 @@
  *
  *   tier 0   the faithful baseline interpreter for the request mode
  *   tier 1   the mode's §5 fetch/decode remedy (mipsi-threaded,
- *            jvm-quick, tcl-bytecode, perl-ic)
+ *            jvm-quick, tcl-bytecode)
  *   tier 2   remedy + profile-discovered superinstructions and
  *            monomorphic inline caches (jvm-tier2 / tcl-tier2)
  *   tier 3   template compilation to a native-code region
- *            (mipsi-jit / tcl-jit); modes without a template backend
- *            top out at tier 2 and a tier-3 target folds down
+ *            (mipsi-jit); modes without a template backend top out
+ *            at tier 2 and a tier-3 target folds down
+ *
+ * C and Perl have no ladder: their requests always run at tier 0.
  *
  * Hotness is counted per (baseline mode, program): one point per
  * invocation plus one per TierConfig::commandsPerPoint commands
@@ -91,8 +93,7 @@ struct TierPlan
     std::function<void(std::shared_ptr<const jvm::TierArtifact>)>
         publish;
     /** Published stencil program to execute with (mipsi-jit, once
-     *  built). Tcl jit artifacts are per compiled script and never
-     *  leave the interpreter, so they have no catalog slot. */
+     *  built). */
     std::shared_ptr<const jit::JitArtifact> jitArtifact;
     /** Atomic-publish hook for a jit artifact this request builds. */
     std::function<void(std::shared_ptr<const jit::JitArtifact>)>

@@ -312,9 +312,9 @@ TEST(ClusterStatsMerge, JitCounterSumsAndToleratesPreJitShards)
     ServerStats s1, s2;
     s1.noteAccepted(Lang::Mipsi);
     s1.noteTierJit(Lang::Mipsi);
-    s1.noteTierJit(Lang::Tcl);
+    s1.noteTierJit(Lang::Mipsi);
     s2.noteAccepted(Lang::Tcl);
-    s2.noteTierJit(Lang::Tcl);
+    s2.noteTierJit(Lang::Mipsi);
 
     CatalogCounters c{0, 0, 0};
     // The third document mimics a shard running a pre-jit build: no

@@ -73,12 +73,11 @@ TEST(Runner, LangNames)
 
 TEST(Runner, ModeTableNamesEveryModeAndNothingElse)
 {
-    const char *names[] = {"C",          "MIPSI",     "Java",
-                           "Perl",       "Tcl",       "MIPSI-threaded",
+    const char *names[] = {"C",          "MIPSI",        "Java",
+                           "Perl",       "Tcl",          "MIPSI-threaded",
                            "Java-quick", "Tcl-bytecode", "Java-tier2",
-                           "Tcl-tier2",  "Perl-ic",   "MIPSI-jit",
-                           "Tcl-jit"};
-    ASSERT_EQ(kNumModes, 13);
+                           "Tcl-tier2",  "MIPSI-jit"};
+    ASSERT_EQ(kNumModes, 11);
     for (int i = 0; i < kNumModes; ++i)
         EXPECT_STREQ(langName((Lang)i), names[i]);
     EXPECT_STREQ(langName((Lang)kNumModes), "?");
@@ -89,9 +88,10 @@ TEST(Runner, ModeTableNamesEveryModeAndNothingElse)
 TEST(Runner, LadderTableFoldsMissingRungs)
 {
     EXPECT_EQ(ladderMode(Lang::Mipsi, 2), Lang::MipsiThreaded);
-    EXPECT_EQ(ladderMode(Lang::Perl, 1), Lang::PerlIC);
-    EXPECT_EQ(ladderMode(Lang::Perl, 3), Lang::PerlIC);
+    EXPECT_EQ(ladderMode(Lang::Perl, 1), Lang::Perl);
+    EXPECT_EQ(ladderMode(Lang::Perl, 3), Lang::Perl);
     EXPECT_EQ(ladderMode(Lang::Java, 3), Lang::JavaTier2);
+    EXPECT_EQ(ladderMode(Lang::Tcl, 3), Lang::TclTier2);
     EXPECT_EQ(ladderMode(Lang::C, 3), Lang::C);
     EXPECT_EQ(ladderMode(Lang::TclTier2, 1), Lang::TclTier2);
     // Every higher mode sits on its own baseline's ladder.

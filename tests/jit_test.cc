@@ -1,8 +1,8 @@
 /**
  * @file
  * Tier-3 jit suite: ExecBuffer/JitArtifact units (W^X lifetime,
- * contained overflow, poison), golden equivalence of the jit modes
- * against their faithful baselines across the macro suite, the
+ * contained overflow, poison), golden equivalence of the MIPSI jit
+ * mode against its faithful baseline across the macro suite, the
  * poisoned-artifact previous-tier fallback, the TierManager jit rung,
  * and the synthetic-region i-cache attribution the §4 simulator sees.
  *
@@ -204,17 +204,10 @@ expectJitGolden(const BenchSpec &base_spec, uint64_t *base_fdmm = nullptr,
                   jc[i].execute - jc[i].memModel)
             << "command " << i;
     }
-    // fetch/decode may move between command rows (tcl-jit charges
-    // region glue to the command whose body is running, where the
-    // baseline charged the dispatch to the reader) — the category
-    // contract is on the totals, which may only shrink.
+    // The category contract is on the totals, which may only shrink:
+    // fetch/decode alone, and fetch/decode + memory-model together.
     EXPECT_LE(jit.profile.fetchDecodeInsts(),
               base.profile.fetchDecodeInsts());
-    // memModel inherits tier-2's bounded IC early-miss tax: a program
-    // with no cacheable hits (spin's proc-less loop) pays a few dead
-    // guard probes with nothing to amortize them, so mm alone may sit
-    // a handful of instructions above baseline. The rung's claim is
-    // on fetch/decode + memory-model together, which may only shrink.
     EXPECT_LE(jit.profile.fetchDecodeInsts() +
                   jit.profile.memModelInsts(),
               base.profile.fetchDecodeInsts() +
@@ -237,42 +230,33 @@ TEST(JitGolden, MipsiMicro)
     expectJitGolden(microBench(Lang::Mipsi, "string-split", 20));
 }
 
-TEST(JitGolden, TclMicro)
-{
-    expectJitGolden(microBench(Lang::Tcl, "a=b+c", 30));
-    expectJitGolden(microBench(Lang::Tcl, "string-concat", 30));
-}
-
 // One sweep over every macro program with a template backend. Each
-// program individually satisfies the golden contract; per language
-// the fetch/decode + memory-model total must strictly shrink versus
-// the baseline, or tier 3 would be dead weight.
+// program individually satisfies the golden contract; the suite's
+// fetch/decode + memory-model total must strictly shrink versus the
+// baseline, or tier 3 would be dead weight.
 TEST(JitGolden, MacroSuiteSweep)
 {
-    uint64_t base_fdmm[2] = {0, 0};
-    uint64_t jit_fdmm[2] = {0, 0};
+    uint64_t base_fdmm = 0;
+    uint64_t jit_fdmm = 0;
     for (const BenchSpec &spec : macroSuite()) {
         if (rungOf(ladderMode(spec.lang, 3)) != 3)
             continue;
         SCOPED_TRACE(std::string(langName(spec.lang)) + "/" +
                      spec.name);
-        int lane = spec.lang == Lang::Mipsi ? 0 : 1;
-        expectJitGolden(spec, &base_fdmm[lane], &jit_fdmm[lane]);
+        expectJitGolden(spec, &base_fdmm, &jit_fdmm);
     }
-    EXPECT_LT(jit_fdmm[0], base_fdmm[0]) << "mipsi suite fd+mm";
-    EXPECT_LT(jit_fdmm[1], base_fdmm[1]) << "tcl suite fd+mm";
+    EXPECT_LT(jit_fdmm, base_fdmm) << "mipsi suite fd+mm";
 }
 
 // The jit tier must improve on the tier it is promoted from, not just
 // on the baseline — otherwise the ladder's top rung buys nothing.
 TEST(JitGolden, ImprovesOnThePreviousTier)
 {
-    for (const char *name : {"des", "tcllex"}) {
-        Lang base = name == std::string("des") ? Lang::Mipsi : Lang::Tcl;
-        BenchSpec prev_spec = macroSpec(base, name);
-        prev_spec.lang = ladderMode(base, 2);
-        BenchSpec jit_spec = macroSpec(base, name);
-        jit_spec.lang = ladderMode(base, 3);
+    for (const char *name : {"des", "li"}) {
+        BenchSpec prev_spec = macroSpec(Lang::Mipsi, name);
+        prev_spec.lang = ladderMode(Lang::Mipsi, 2);
+        BenchSpec jit_spec = macroSpec(Lang::Mipsi, name);
+        jit_spec.lang = ladderMode(Lang::Mipsi, 3);
         Measurement prev = runCounting(prev_spec);
         Measurement jit = runCounting(jit_spec);
         EXPECT_LT(jit.profile.fetchDecodeInsts() +
@@ -290,10 +274,10 @@ TEST(JitGolden, ImprovesOnThePreviousTier)
 TEST(JitGolden, ParallelJobsAreBitIdentical)
 {
     std::vector<BenchSpec> specs;
-    for (auto lang : {Lang::Mipsi, Lang::Tcl}) {
-        specs.push_back(macroSpec(lang, "des"));
-        BenchSpec jit = macroSpec(lang, "des");
-        jit.lang = ladderMode(lang, 3);
+    for (const char *name : {"des", "li"}) {
+        specs.push_back(macroSpec(Lang::Mipsi, name));
+        BenchSpec jit = macroSpec(Lang::Mipsi, name);
+        jit.lang = Lang::MipsiJit;
         specs.push_back(std::move(jit));
     }
     SuiteOptions serial;
@@ -423,27 +407,26 @@ jitLadderConfig(uint64_t remedy_after, uint64_t tier2_after,
     return cfg;
 }
 
-TEST(TierManagerJit, TclClimbsToTheJitRung)
+TEST(TierManagerJit, TclTopsOutAtTier2)
 {
+    // Tcl has no template backend: past the jit threshold the target
+    // folds to tier 2, with no jit hook and no promotedJit.
     tier::TierManager tm(jitLadderConfig(1, 2, 3));
     tier::TierPlan p1 = tm.plan(Lang::Tcl, "des");
     EXPECT_EQ(p1.lang, Lang::TclBytecode);
     tier::TierPlan p2 = tm.plan(Lang::Tcl, "des");
     EXPECT_EQ(p2.lang, Lang::TclTier2);
-    tier::TierPlan p3 = tm.plan(Lang::Tcl, "des");
-    EXPECT_EQ(p3.lang, Lang::TclJit);
-    EXPECT_EQ(p3.level, 3);
-    EXPECT_TRUE(p3.promotedJit);
-    // tcl-jit compiles per cached script inside the interpreter: no
-    // catalog artifact slot, no publish hook.
-    EXPECT_FALSE(p3.publishJit);
-    EXPECT_FALSE(p3.jitArtifact);
-
-    // The crossing fires exactly once.
-    tier::TierPlan p4 = tm.plan(Lang::Tcl, "des");
-    EXPECT_EQ(p4.lang, Lang::TclJit);
-    EXPECT_FALSE(p4.promotedJit);
-    EXPECT_EQ(tm.snapshot().promotedJit, 1u);
+    EXPECT_TRUE(p2.promotedTier2);
+    for (int i = 0; i < 3; ++i) {
+        tier::TierPlan top = tm.plan(Lang::Tcl, "des");
+        EXPECT_EQ(top.lang, Lang::TclTier2);
+        EXPECT_EQ(top.level, 2);
+        EXPECT_FALSE(top.promotedTier2);
+        EXPECT_FALSE(top.promotedJit);
+        EXPECT_FALSE(top.publishJit);
+        EXPECT_FALSE(top.jitArtifact);
+    }
+    EXPECT_EQ(tm.snapshot().promotedJit, 0u);
 }
 
 TEST(TierManagerJit, MipsiSingleBuilderPublishesTheStencilProgram)
@@ -481,8 +464,8 @@ TEST(TierManagerJit, MipsiSingleBuilderPublishesTheStencilProgram)
 
 TEST(TierManagerJit, ModesWithoutATemplateBackendFoldToTier2)
 {
-    // Java and Perl top out below tier 3: the jit threshold folds
-    // down and promotedJit never fires.
+    // Java tops out below tier 3: the jit threshold folds down and
+    // promotedJit never fires.
     tier::TierManager tm(jitLadderConfig(1, 2, 3));
     tm.plan(Lang::Java, "des");
     tm.plan(Lang::Java, "des");
@@ -495,13 +478,6 @@ TEST(TierManagerJit, ModesWithoutATemplateBackendFoldToTier2)
     EXPECT_FALSE(java.promotedJit);
     EXPECT_FALSE(java.publishJit);
     EXPECT_FALSE(java.jitArtifact);
-
-    tm.plan(Lang::Perl, "plexus");
-    tm.plan(Lang::Perl, "plexus");
-    tier::TierPlan perl = tm.plan(Lang::Perl, "plexus");
-    EXPECT_EQ(perl.lang, Lang::PerlIC);
-    EXPECT_EQ(perl.level, 1);
-    EXPECT_FALSE(perl.promotedJit);
 
     EXPECT_EQ(tm.snapshot().promotedJit, 0u);
 }

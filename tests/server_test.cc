@@ -183,6 +183,8 @@ TEST(Protocol, MalformationsAreRejected)
     bad[5] = (char)0x7f; // mode field (verb + u32 id precede it)
     EvalRequest back;
     EXPECT_FALSE(decodeEvalRequest(bad, back));
+    bad[5] = (char)harness::kNumModes; // first byte past the table
+    EXPECT_FALSE(decodeEvalRequest(bad, back));
 
     // Truncated payload.
     bad = payload.substr(0, payload.size() - 1);
@@ -198,7 +200,7 @@ TEST(Protocol, MalformationsAreRejected)
 
 TEST(Protocol, EveryModeNameRoundTripsCaseInsensitively)
 {
-    ASSERT_EQ(harness::kNumModes, 13);
+    ASSERT_EQ(harness::kNumModes, 11);
     for (const harness::ModeInfo &m : harness::kModeTable) {
         std::string upper = m.name;
         for (char &c : upper)
@@ -213,6 +215,8 @@ TEST(Protocol, EveryModeNameRoundTripsCaseInsensitively)
     EXPECT_TRUE(langFromName("JVM-Quick", back));
     EXPECT_EQ(back, Lang::JavaQuick);
     EXPECT_FALSE(langFromName("Tcl-turbo", back));
+    EXPECT_FALSE(langFromName("Perl-ic", back));
+    EXPECT_FALSE(langFromName("Tcl-jit", back));
     EXPECT_FALSE(langFromName("", back));
 }
 
@@ -939,9 +943,10 @@ TEST(ServerEndToEnd, JitPromotionClimbsToTierThreeAndPreservesIdentity)
     // The tier-3 rung over the wire: a hot catalog program must climb
     // baseline -> remedy -> tier-2 -> jit without the client seeing
     // anything but identical answers and a falling instruction bill.
-    // Mipsi additionally exercises the aside-build: the first tier-3
-    // request compiles and publishes the stencil program, later ones
-    // load it from the catalog slot.
+    // Mipsi exercises the aside-build: the first tier-3 request
+    // compiles and publishes the stencil program, later ones load it
+    // from the catalog slot. Tcl has no template backend and stops at
+    // tier 2.
     const uint32_t kIters = 300;
     harness::Measurement mipsi =
         batchMeasure(Lang::Mipsi, "a=b+c", (int)kIters);
@@ -982,7 +987,7 @@ TEST(ServerEndToEnd, JitPromotionClimbsToTierThreeAndPreservesIdentity)
     EXPECT_LT(mipsiInsts.back(), mipsiInsts.front());
     EXPECT_LT(tclInsts.back(), tclInsts.front());
     EXPECT_LT(mipsiInsts.back(), mipsiInsts[4]);
-    EXPECT_LT(tclInsts.back(), tclInsts[4]);
+    EXPECT_EQ(tclInsts.back(), tclInsts[4]);
     // Mipsi's builder request compiles in-run; once the published
     // stencil program is loaded the compile charge disappears.
     EXPECT_LT(mipsiInsts.back(), mipsiInsts[5]);
@@ -992,12 +997,12 @@ TEST(ServerEndToEnd, JitPromotionClimbsToTierThreeAndPreservesIdentity)
     ASSERT_TRUE(statsJsonUint(json, "modes.MIPSI.tier_up_jit", v));
     EXPECT_EQ(v, 1u);
     ASSERT_TRUE(statsJsonUint(json, "modes.Tcl.tier_up_jit", v));
-    EXPECT_EQ(v, 1u);
+    EXPECT_EQ(v, 0u);
     ASSERT_TRUE(statsJsonUint(json, "modes.Tcl.tier_up_tier2", v));
     EXPECT_EQ(v, 1u);
     ASSERT_TRUE(statsJsonUint(json, "modes.MIPSI.tiered_runs", v));
     EXPECT_EQ(v, (uint64_t)kRequests - 1);
     // Daemon-total rollup carries the new counter.
     ASSERT_TRUE(statsJsonUint(json, "tier_up_jit", v));
-    EXPECT_EQ(v, 2u);
+    EXPECT_EQ(v, 1u);
 }

@@ -2,7 +2,7 @@
  * @file
  * Tier-up suite: golden equivalence for the tier-2 execution modes
  * (jvm superinstructions + field inline caches, tclish command fusion
- * + symbol caches, perlish hash-element caches), TierManager
+ * + symbol caches), TierManager
  * promotion-ladder unit tests, and the shared-module safety
  * guarantees the tiering layer rests on — artifacts are immutable,
  * in-place quickening of a shared module is a contained fatal, and
@@ -155,27 +155,6 @@ TEST(TierGolden, TclTier2NoSitesIsANoop)
     EXPECT_EQ(base.stdoutText, tier.stdoutText);
 }
 
-TEST(TierGolden, PerlIcMicro)
-{
-    // The micro ops carry no hash elements, so Perl-ic must be a
-    // strict no-op on them: identical everything, including memModel.
-    BenchSpec spec = microBench(Lang::Perl, "a=b+c", 60);
-    expectTier2Golden(spec, false);
-    Measurement base = runCounting(spec);
-    BenchSpec ic = spec;
-    ic.lang = Lang::PerlIC;
-    Measurement t2 = runCounting(ic);
-    EXPECT_EQ(base.profile.memModelInsts(), t2.profile.memModelInsts());
-}
-
-TEST(TierGolden, PerlIcHashWorkloads)
-{
-    // plexus and weblint are the hash-element-heavy macros; the cache
-    // must strictly cut their §3.3 access cost.
-    expectTier2Golden(macroSpec(Lang::Perl, "plexus"), true);
-    expectTier2Golden(macroSpec(Lang::Perl, "weblint"), true);
-}
-
 // --- golden equivalence: every guest program ---------------------------
 
 // One sweep over the whole Table 2 macro suite for every language
@@ -185,23 +164,18 @@ TEST(TierGolden, PerlIcHashWorkloads)
 // must strictly shrink, or tier-2 would be dead weight.
 TEST(TierGolden, MacroSuiteSweep)
 {
-    uint64_t base_mem[3] = {0, 0, 0};
-    uint64_t tier_mem[3] = {0, 0, 0};
-    auto lane = [](Lang lang) {
-        return lang == Lang::Java ? 0 : lang == Lang::Tcl ? 1 : 2;
-    };
+    uint64_t base_mem[2] = {0, 0};
+    uint64_t tier_mem[2] = {0, 0};
     for (const BenchSpec &spec : macroSuite()) {
-        if (spec.lang != Lang::Java && spec.lang != Lang::Tcl &&
-            spec.lang != Lang::Perl)
+        if (spec.lang != Lang::Java && spec.lang != Lang::Tcl)
             continue;
         SCOPED_TRACE(std::string(langName(spec.lang)) + "/" +
                      spec.name);
-        int l = lane(spec.lang);
+        int l = spec.lang == Lang::Java ? 0 : 1;
         expectTier2Golden(spec, false, &base_mem[l], &tier_mem[l]);
     }
     EXPECT_LT(tier_mem[0], base_mem[0]) << "jvm suite memModel";
     EXPECT_LT(tier_mem[1], base_mem[1]) << "tcl suite memModel";
-    EXPECT_LT(tier_mem[2], base_mem[2]) << "perl suite memModel";
 }
 
 // The one-shot artifact build is charged to Precompile, exactly like
@@ -263,30 +237,17 @@ TEST(TierManager, TclClimbsTheLadder)
     EXPECT_EQ(s.promotedTier2, 1u);
 }
 
-TEST(TierManager, PerlTopsOutAtTheCache)
-{
-    // Perl-ic is both remedy and top tier; the tier-2 threshold folds
-    // back to it and promotedTier2 never fires.
-    tier::TierManager tm(testConfig(2, 3));
-    tm.plan(Lang::Perl, "plexus");
-    tier::TierPlan remedy = tm.plan(Lang::Perl, "plexus");
-    EXPECT_EQ(remedy.lang, Lang::PerlIC);
-    EXPECT_TRUE(remedy.promotedRemedy);
-    tier::TierPlan top = tm.plan(Lang::Perl, "plexus");
-    EXPECT_EQ(top.lang, Lang::PerlIC);
-    EXPECT_EQ(top.level, 1);
-    EXPECT_FALSE(top.promotedTier2);
-    EXPECT_EQ(tm.snapshot().promotedTier2, 0u);
-}
-
 TEST(TierManager, NoLadderForCOrExplicitRemedies)
 {
     tier::TierManager tm(testConfig(1, 1));
-    // C has no remedy; it never leaves baseline.
-    for (int i = 0; i < 4; ++i) {
-        tier::TierPlan p = tm.plan(Lang::C, "des");
-        EXPECT_EQ(p.lang, Lang::C);
-        EXPECT_EQ(p.level, 0);
+    // C and Perl have no ladder; they never leave baseline.
+    for (Lang lang : {Lang::C, Lang::Perl}) {
+        for (int i = 0; i < 4; ++i) {
+            tier::TierPlan p = tm.plan(lang, "des");
+            EXPECT_EQ(p.lang, lang);
+            EXPECT_EQ(p.level, 0);
+            EXPECT_FALSE(p.promotedRemedy);
+        }
     }
     // An explicitly-requested remedy mode is honored verbatim — the
     // client asked for it, tiering neither claims nor upgrades it.
